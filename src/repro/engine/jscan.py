@@ -112,6 +112,10 @@ class JscanProcess(Process):
         self._active: _IndexScan | None = None
         self._partner: _IndexScan | None = None
         self._filter: HybridRidList | None = None
+        #: guaranteed best cost and the heap size it was computed for; it
+        #: is recomputed only when a filter is installed or the heap grows
+        self._guaranteed = 0.0
+        self._guaranteed_pages: int | None = None
         self._turn = 0
         self.completed_scans = 0
         self.abandoned_scans = 0
@@ -145,11 +149,20 @@ class JscanProcess(Process):
         return cost
 
     def guaranteed_best_cost(self) -> float:
-        """The cost of the best retrieval guaranteed available right now."""
-        best = self.tscan_cost()
-        if self.dynamic_guaranteed_best and self._filter is not None:
-            best = min(best, self.rid_fetch_cost(len(self._filter), self._filter))
-        return best
+        """The cost of the best retrieval guaranteed available right now.
+
+        Its inputs are the heap size and the installed filter, which change
+        far less often than the switch rule runs (after every entry), so
+        the value is kept until one of them changes.
+        """
+        pages = self.heap.page_count
+        if pages != self._guaranteed_pages:
+            best = self.tscan_cost()
+            if self.dynamic_guaranteed_best and self._filter is not None:
+                best = min(best, self.rid_fetch_cost(len(self._filter), self._filter))
+            self._guaranteed = best
+            self._guaranteed_pages = pages
+        return self._guaranteed
 
     def _projection(self, scan: _IndexScan) -> float | None:
         """Projected final-retrieval cost from the list being built."""
@@ -252,6 +265,7 @@ class JscanProcess(Process):
         )
         old_filter = self._filter
         self._filter = scan.rid_list
+        self._guaranteed_pages = None  # new filter: recompute the bound
         self.trace.emit(
             EventKind.FILTER_BUILT,
             index=scan.name,
@@ -374,10 +388,10 @@ class JscanProcess(Process):
                 scan_cost=scan.scan_cost,
             )
             decision = self._prob_criterion.evaluate(evidence, guaranteed)
+            projection = None
         else:
-            decision = self.criterion.evaluate(
-                self._projection(scan), scan.scan_cost, guaranteed
-            )
+            projection = self._projection(scan)
+            decision = self.criterion.evaluate(projection, scan.scan_cost, guaranteed)
         if decision is SwitchDecision.CONTINUE:
             return
         reason = (
@@ -386,8 +400,11 @@ class JscanProcess(Process):
         audit = self.trace.audit
         if audit.enabled:
             # the switch-criterion's inputs at the moment it fired: what
-            # the scan had cost, what the projection said it would cost,
+            # the scan had cost, what the projection said it would cost
+            # (None when too little of the range was scanned to project),
             # and the guaranteed bound it lost to
+            if self._prob_criterion is not None:
+                projection = self._projection(scan)
             audit.decision(
                 DecisionKind.STAGE_TRANSITION,
                 chosen=f"abandon({scan.name})",
@@ -396,7 +413,7 @@ class JscanProcess(Process):
                 kept=scan.kept,
                 scan_cost=round(scan.scan_cost, 2),
                 guaranteed=round(guaranteed, 2),
-                projection=round(self._projection(scan), 2),
+                projection=None if projection is None else round(projection, 2),
             )
         self._abandon_scan(scan, reason)
         self._maybe_start_partner()

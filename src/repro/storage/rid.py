@@ -112,29 +112,30 @@ class SortedRidBuffer:
 def yao_pages_touched(total_pages: int, records_per_page: int, k: int) -> float:
     """Yao's formula: expected distinct pages touched fetching ``k`` records.
 
-    Given a table of ``total_pages`` pages with ``records_per_page`` records
-    each, selecting ``k`` records uniformly without replacement touches on
-    average ``m * (1 - prod_{i=1..k} (n - n/m - i + 1)/(n - i + 1))`` pages.
-    This is the engine's estimate for the cost of a sorted RID-list fetch
-    (the "second stage" of Jscan's two-stage competition).
+    Given a table of ``m = total_pages`` pages with ``d = records_per_page``
+    records each (``n = m * d`` records in all), selecting ``k`` records
+    uniformly without replacement misses a given page with probability
+    ``C(n - d, k) / C(n, k)``, so on average ``m * (1 - C(n - d, k) / C(n, k))``
+    pages are touched. This is the engine's estimate for the cost of a
+    sorted RID-list fetch (the "second stage" of Jscan's two-stage
+    competition).
 
-    A cheap closed-form approximation ``m * (1 - (1 - 1/m)**k)`` is used when
-    the exact product would be long; it is accurate for the sizes we model.
+    The ratio is exact in either of its two product forms;
+    ``C(n - k, d) / C(n, d) = prod_{j=0..d-1} (n - k - j) / (n - j)`` is used
+    because it has ``d`` factors rather than ``k``, so a call costs
+    O(records_per_page) however large ``k`` grows. Every factor falls as
+    ``k`` grows, so the result never decreases in ``k``. Once
+    ``k > n - d`` no page can be missed and the result is ``m``. A
+    fractional ``k`` counts as its integer part.
     """
+    k = int(k)
     if total_pages <= 0 or k <= 0:
         return 0.0
     m = float(total_pages)
-    n = float(total_pages * records_per_page)
-    if k >= n:
+    n = total_pages * records_per_page
+    if k > n - records_per_page:
         return m
-    if k > 1000:
-        return m * (1.0 - (1.0 - 1.0 / m) ** k)
-    prod = 1.0
-    per_page = n / m
-    for i in range(1, int(k) + 1):
-        numerator = n - per_page - i + 1
-        denominator = n - i + 1
-        if numerator <= 0:
-            return m
-        prod *= numerator / denominator
-    return m * (1.0 - prod)
+    missed = 1.0
+    for j in range(records_per_page):
+        missed *= (n - k - j) / (n - j)
+    return m * (1.0 - missed)

@@ -230,3 +230,37 @@ def test_requires_candidates(db):
     table = build_parts(db)
     with pytest.raises(ValueError):
         JscanProcess([], table.heap, table.buffer_pool, RetrievalTrace(), table.config)
+
+
+def test_audit_of_scan_cost_abandon_before_any_projection():
+    """The W-like scan is abandoned on its own cost before enough of its
+    range is read to project a final list; the audit records that the
+    projection did not exist instead of failing the statement."""
+    import repro
+    from repro.config import DEFAULT_CONFIG
+    from repro.obs.audit import DecisionKind
+
+    conn = repro.connect(config=DEFAULT_CONFIG.with_(audit_enabled=True))
+    table = conn.create_table("T", [("ID", "int"), ("A", "int"), ("B", "int")])
+    for i in range(20000):
+        table.insert((i, i % 997, i * 7919 % 1000))
+    table.create_index("IX_A", ["A"])
+    table.create_index("IX_B", ["B"])
+    table.analyze()
+
+    handle = conn.submit("select * from T where A = 5 and B < 900")
+    conn.server.run_until_idle()
+    expected = sorted(
+        row for _, row in table.heap.scan() if row[1] == 5 and row[2] < 900
+    )
+    assert sorted(handle.wait().rows) == expected
+    transitions = [
+        record
+        for retrieval in handle.tracer.audit.retrievals
+        for record in retrieval.decisions
+        if record.kind is DecisionKind.STAGE_TRANSITION
+    ]
+    assert [record.chosen for record in transitions] == ["abandon(IX_B)"]
+    assert transitions[0].inputs["reason"] == "scan-cost"
+    assert transitions[0].inputs["projection"] is None
+    conn.close()

@@ -9,6 +9,7 @@ abandon), the SQL ``PARTITION BY`` clause, and the scatter-gather
 metrics wired through the server registry.
 """
 
+import threading
 import zlib
 
 import pytest
@@ -345,14 +346,37 @@ class TestScatter:
     def test_cancellation_releases_pins(self, monkeypatch):
         from repro.partition import scatter as scatter_mod
 
-        # zero poll: the parallel coordinator yields right after submitting,
-        # before its workers can finish; tiny quanta do the same for serial
-        monkeypatch.setattr(scatter_mod, "_POLL_SECONDS", 0.0)
+        # a gate the test controls: every worker runs two engine quanta,
+        # reports that it is mid-fetch, then holds until the coordinator's
+        # abort (set by gen.close()) releases it — so the cancel always
+        # lands on in-flight workers, however the threads are scheduled
+        held = threading.Semaphore(0)
+        real_job = scatter_mod._fetch_partition_job
+
+        class HoldUntilAbort:
+            def __init__(self, abort):
+                self.abort = abort
+                self.checks = 0
+
+            def is_set(self):
+                self.checks += 1
+                if self.checks == 3:
+                    held.release()
+                    self.abort.wait(timeout=60)
+                return self.abort.is_set()
+
+        def gated_job(child, request, lock, abort):
+            return real_job(child, request, lock, HoldUntilAbort(abort))
+
+        monkeypatch.setattr(scatter_mod, "_fetch_partition_job", gated_job)
         for workers in (1, 4):
             db, table = make_db(workers=workers, rows=2000, batch_size=4)
             gen = table.select_steps(where=col("ID").between(0, 1999))
             for _ in range(3):
                 next(gen)
+            if workers > 1:
+                for _ in table.partitions:
+                    assert held.acquire(timeout=60)
             gen.close()
             for child in table.partitions:
                 assert child.buffer_pool._pinned == {}
